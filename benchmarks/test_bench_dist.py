@@ -27,10 +27,11 @@ import sys
 import time
 
 from benchmarks.conftest import emit_report
-from benchmarks.test_bench_runner import _eval_suite, _usable_cpus
+from benchmarks.test_bench_runner import _eval_suite
 from repro.distributed.lease import LeaseManager
 from repro.distributed.worker import GridWorker
 from repro.experiments.runner import ResultStore, run_grid
+from repro.utils.threads import usable_cores
 
 MIN_SPEEDUP = 1.5
 NUM_WORKERS = 2
@@ -115,7 +116,7 @@ def test_distributed_drain_and_reclaim(bundle, capsys, results_dir, tmp_path):
     # ---- the honest gate ------------------------------------------------
     dist_speedup = serial_s / dist_s
     reclaim_speedup = serial_s / reclaim_s
-    cpus = _usable_cpus()
+    cpus = usable_cores()
     # Two CPU-bound worker processes need two cores to beat one serial
     # process; on fewer the theoretical ceiling is < 1x once interpreter
     # startup is paid, so the gate falls to the reclaim path: recovering a

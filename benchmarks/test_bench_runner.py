@@ -25,6 +25,7 @@ from repro.experiments.fig2 import fig2_grid
 from repro.experiments.ablations import encoding_ablation_grid
 from repro.experiments.runner import ResultStore, ScenarioGrid, run_grid
 from repro.experiments.table1 import table1_grid
+from repro.utils.threads import usable_cores
 
 MIN_SPEEDUP = 2.0
 WORKERS = 4
@@ -41,12 +42,6 @@ def _eval_suite(profile) -> ScenarioGrid:
         ],
     )
 
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def test_runner_throughput_and_bit_identity(bundle, capsys, results_dir, tmp_path):
@@ -79,7 +74,7 @@ def test_runner_throughput_and_bit_identity(bundle, capsys, results_dir, tmp_pat
 
     parallel_speedup = serial_s / parallel_s
     resume_speedup = serial_s / resume_s
-    cpus = _usable_cpus()
+    cpus = usable_cores()
     # A 2x speedup from a CPU-bound pool needs real parallel headroom: on
     # fewer cores than workers the theoretical ceiling is the core count
     # itself (exactly 2.0x on 2 cores — unreachable once spawn/import

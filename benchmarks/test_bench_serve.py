@@ -46,6 +46,7 @@ import time
 from benchmarks.conftest import emit_report
 from repro.experiments.common import ensure_checkpoint_on_disk
 from repro.serve import EvalRequest
+from repro.utils.threads import usable_cores
 
 MIN_CACHE_SPEEDUP = 50.0
 MIN_PARALLEL_SPEEDUP = 1.4
@@ -62,12 +63,6 @@ SIGMA_BATCH_WARM = 39.0
 SIGMAS_BATCH_SERIAL = (40.0, 41.0, 42.0, 43.0)
 SIGMAS_BATCH_CONCURRENT = (44.0, 45.0, 46.0, 47.0)
 
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return os.cpu_count() or 1
 
 
 def _rpc(address, message, timeout=600.0):
@@ -283,7 +278,7 @@ def test_serve_latency_cold_parallel_coalesced_cached(
     cache_speedup = cold_s / hit_s
     parallel_speedup = serial_pair_s / parallel_pair_s
     coalesced_per_client_s = coalesced_s / COALESCE_CLIENTS
-    cpus = _usable_cpus()
+    cpus = usable_cores()
 
     # Honest gating: true parallel speedup needs real cores.  On >= 2 CPUs
     # the concurrent-distinct pair must beat the serial pair; on one core

@@ -234,7 +234,9 @@ class SimulationEngine:
         draws it replaces — golden schedules and cross-engine equivalence
         are preserved bit for bit at float64.  Engines may override this to
         realise the plan differently (the reference engine draws literally
-        per layer); all realisations must consume ``rng`` identically.
+        per layer); all realisations must consume ``rng`` identically.  The
+        GBO trainer may call this on a background thread (its look-ahead
+        prefetch), so a realisation must touch no state other than ``rng``.
         """
         counts = [int(count) for count in counts]
         total = sum(counts)

@@ -18,8 +18,10 @@ inference.
 
 from __future__ import annotations
 
+import contextvars
+import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +33,8 @@ from repro.optim import Adam
 from repro.sim import SimConfig
 from repro.tensor import Tensor
 from repro.tensor import functional as F
-from repro.tensor.random import PlannedNormalStream
+from repro.tensor.random import PlannedNormalStream, RandomState
+from repro.utils import threads
 from repro.utils.deprecation import warn_deprecated
 from repro.utils.logging import get_logger
 
@@ -65,6 +68,19 @@ class GBOConfig:
         observe the very samples they would have drawn live, so schedules
         and golden streams are unchanged.  On by default; disable to force
         the historical per-layer draws.
+
+        When the process may run on at least two cores
+        (:func:`repro.utils.threads.usable_cores`), the next step's plan is
+        drawn on one background thread while the current step computes: on
+        clones of the layers' generators, in a copy of the trainer's
+        execution context.  The next step commits it only if its input shape
+        matches, the layers still map to the same generators and no
+        generator moved since the launch; every other case (a partial last
+        batch, another consumer of a shared generator, a non-``RandomState``
+        generator) discards it and draws synchronously, so the result stays
+        sample-exact.  For the duration of :meth:`GBOTrainer.train` numpy's
+        OpenBLAS pool is capped at one thread (restored afterwards) so the
+        draw has a core of its own.
     """
 
     space: PulseScalingSpace = field(default_factory=PulseScalingSpace)
@@ -142,6 +158,93 @@ class _RecordingRng:
         return getattr(self._inner, name)
 
 
+def _generator_groups(generators) -> List[Tuple[int, List[int]]]:
+    """Layer indices grouped by their (possibly shared) noise generator.
+
+    Returns ``(first_index, indices)`` per distinct generator, in order of
+    first use, with forward order kept within each group: a generator's
+    single flat draw is bit-equal to the consecutive per-layer draws it
+    replaces, and distinct generators are independent, so interleaving
+    across groups is irrelevant.
+    """
+    groups: Dict[int, List[int]] = {}
+    firsts: List[int] = []
+    for index, rng in enumerate(generators):
+        if id(rng) not in groups:
+            groups[id(rng)] = []
+            firsts.append(index)
+        groups[id(rng)].append(index)
+    return [(first, groups[id(generators[first])]) for first in firsts]
+
+
+class _Prefetch:
+    """A look-ahead noise plan, drawn on a background thread.
+
+    On construction (on the trainer's thread) it clones each distinct
+    generator and snapshots the originals' stream positions, then starts
+    one thread that draws the plan on the clones through the layers' own
+    :meth:`~repro.backend.engine.SimulationEngine.plan_gbo_noise`, inside a
+    copy of the caller's :mod:`contextvars` context so the draw follows the
+    trainer's compute-dtype policy.  The thread never touches the originals.
+    """
+
+    def __init__(self, key, layers, originals, counts):
+        self.key = key
+        self.originals = originals
+        self.groups = _generator_groups(originals)
+        generators = [originals[first] for first, _ in self.groups]
+        self.snapshots = [rng.state for rng in generators]
+        self.clones = [rng.clone() for rng in generators]
+        requests = [
+            (layers[first].engine, [counts[i] for i in indices])
+            for first, indices in self.groups
+        ]
+        self.buffers: Optional[List[list]] = None
+        self._thread = threading.Thread(
+            target=contextvars.copy_context().run,
+            args=(self._draw, requests),
+            name="gbo-noise-prefetch",
+            daemon=True,
+        )
+        self._thread.start()
+
+    def _draw(self, requests) -> None:
+        self.buffers = [
+            engine.plan_gbo_noise(group_counts, clone)
+            for (engine, group_counts), clone in zip(requests, self.clones)
+        ]
+
+    def join(self) -> None:
+        self._thread.join()
+
+    def take(self, key, originals) -> Optional[List[np.ndarray]]:
+        """The per-layer plan, if it is exactly what a synchronous draw makes.
+
+        That holds when the draw finished, the step has the input shape the
+        plan was drawn for, the layers still map to the same generators, and
+        no generator moved since the launch snapshot.  Then each original
+        jumps to its clone's post-draw position — where the synchronous draw
+        would have left it — and the plan is returned; otherwise ``None``
+        (a draw that raised on the thread is redrawn, and raises again, on
+        the trainer's).
+        """
+        self.join()
+        if self.buffers is None or key != self.key:
+            return None
+        if any(rng is not launched for rng, launched in zip(originals, self.originals)):
+            return None
+        generators = [originals[first] for first, _ in self.groups]
+        if any(rng.state != snapshot for rng, snapshot in zip(generators, self.snapshots)):
+            return None
+        for rng, clone in zip(generators, self.clones):
+            rng.state = clone.state
+        plan: List[Optional[np.ndarray]] = [None] * len(originals)
+        for (_, indices), buffers in zip(self.groups, self.buffers):
+            for layer_index, buffer in zip(indices, buffers):
+                plan[layer_index] = buffer
+        return plan
+
+
 class _NoisePlanner:
     """Batches the per-layer Eq. 5 noise draws of one GBO step into one.
 
@@ -157,16 +260,28 @@ class _NoisePlanner:
     ``Generator`` splits draws bit-identically across calls, so the samples
     (and therefore schedules, losses and golden streams) are exactly those
     of the un-planned run.
+
+    With ``prefetch=True`` the next step's plan is drawn on a background
+    thread while the current step computes (:class:`_Prefetch`), assuming
+    the next step has the current input shape.  The next ``begin_step``
+    commits it only when it is bit-equal to the synchronous draw by
+    construction (see :meth:`_Prefetch.take`) and otherwise discards it and
+    draws synchronously.  Only :class:`~repro.tensor.random.RandomState`
+    generators are prefetched (they can be cloned at an exact stream
+    position); any other ``noise_rng`` is always drawn synchronously.
     """
 
-    def __init__(self, layers: Sequence[EncodedLayerMixin]):
+    def __init__(self, layers: Sequence[EncodedLayerMixin], prefetch: bool = False):
         self._layers = list(layers)
         self._counts: Dict[tuple, List[int]] = {}
         self._active = None
+        self._prefetch_enabled = prefetch
+        self._prefetch: Optional[_Prefetch] = None
 
     def begin_step(self, input_shape) -> None:
         key = tuple(input_shape)
         originals = [layer.noise_rng for layer in self._layers]
+        plan = self._take_prefetch(key, originals)
         counts = self._counts.get(key)
         if counts is None:
             wrappers = [_RecordingRng(rng) for rng in originals]
@@ -174,35 +289,20 @@ class _NoisePlanner:
                 layer.noise_rng = wrapper
             self._active = ("record", key, originals, wrappers)
             return
-        # Group layers by their (possibly shared) noise generator, keeping
-        # forward order within each group: a generator's single flat draw is
-        # bit-equal to the consecutive per-layer draws it replaces, and
-        # distinct generators are independent, so interleaving is irrelevant.
-        order: List[int] = []
-        groups: Dict[int, List[int]] = {}
-        for index, rng in enumerate(originals):
-            if id(rng) not in groups:
-                groups[id(rng)] = []
-                order.append(index)
-            groups[id(rng)].append(index)
-        streams: List[Optional[PlannedNormalStream]] = [None] * len(self._layers)
-        for first_index in order:
-            indices = groups[id(originals[first_index])]
-            engine = self._layers[first_index].engine
-            buffers = engine.plan_gbo_noise(
-                [counts[i] for i in indices], originals[first_index]
-            )
-            for layer_index, buffer in zip(indices, buffers):
-                streams[layer_index] = PlannedNormalStream(buffer)
+        if plan is None:
+            plan = self._draw(counts, originals)
+        streams = [PlannedNormalStream(buffer) for buffer in plan]
         for layer, stream in zip(self._layers, streams):
             layer.noise_rng = stream
         self._active = ("planned", key, originals, streams)
+        self._launch(key, originals, counts)
 
     def end_step(self) -> None:
         mode, key, originals, aux = self._active
         self._restore(originals)
         if mode == "record":
             self._counts[key] = [wrapper.drawn for wrapper in aux]
+            self._launch(key, originals, self._counts[key])
             return
         leftover = sum(stream.remaining for stream in aux)
         if leftover:
@@ -214,6 +314,30 @@ class _NoisePlanner:
     def abort_step(self) -> None:
         if self._active is not None:
             self._restore(self._active[2])
+
+    def close(self) -> None:
+        """Wait for and discard any look-ahead plan still in flight."""
+        pending, self._prefetch = self._prefetch, None
+        if pending is not None:
+            pending.join()
+
+    def _draw(self, counts: List[int], originals) -> List[np.ndarray]:
+        plan: List[Optional[np.ndarray]] = [None] * len(self._layers)
+        for first, indices in _generator_groups(originals):
+            buffers = self._layers[first].engine.plan_gbo_noise(
+                [counts[i] for i in indices], originals[first]
+            )
+            for layer_index, buffer in zip(indices, buffers):
+                plan[layer_index] = buffer
+        return plan
+
+    def _launch(self, key, originals, counts: List[int]) -> None:
+        if self._prefetch_enabled and all(type(rng) is RandomState for rng in originals):
+            self._prefetch = _Prefetch(key, self._layers, originals, counts)
+
+    def _take_prefetch(self, key, originals) -> Optional[List[np.ndarray]]:
+        pending, self._prefetch = self._prefetch, None
+        return None if pending is None else pending.take(key, originals)
 
     def _restore(self, originals) -> None:
         for layer, rng in zip(self._layers, originals):
@@ -302,37 +426,18 @@ class GBOTrainer:
                 layer._apply_engine(self.engine)
 
         optimizer = Adam(logits, lr=config.learning_rate)
-        planner = _NoisePlanner(self._layers) if config.plan_noise else None
+        planner = None
+        if config.plan_noise:
+            planner = _NoisePlanner(self._layers, prefetch=threads.usable_cores() >= 2)
         history: List[Dict[str, float]] = []
-        step = 0
         try:
-            for epoch in range(config.epochs):
-                for inputs, targets in loader:
-                    optimizer.zero_grad()
-                    outputs = self._planned_forward(planner, inputs)
-                    ce_loss = F.cross_entropy(outputs, targets)
-                    latency = self._latency_term()
-                    loss = ce_loss + latency * config.gamma
-                    loss.backward()
-                    optimizer.step()
-                    step += 1
-                    record = {
-                        "epoch": float(epoch),
-                        "step": float(step),
-                        "loss": float(loss.data),
-                        "cross_entropy": float(ce_loss.data),
-                        "expected_latency": float(latency.data),
-                    }
-                    history.append(record)
-                    if config.log_every and step % config.log_every == 0:
-                        LOGGER.info(
-                            "gbo step %d: loss=%.4f ce=%.4f latency=%.2f",
-                            step,
-                            record["loss"],
-                            record["cross_entropy"],
-                            record["expected_latency"],
-                        )
+            # One BLAS thread leaves the second core to the noise prefetch:
+            # at these matrix sizes OpenBLAS's second thread only spin-waits.
+            with threads.blas_thread_limit(1):
+                self._run_steps(loader, optimizer, planner, history)
         finally:
+            if planner is not None:
+                planner.close()
             if previous_engines is not None:
                 for layer, previous in zip(self._layers, previous_engines):
                     # previous is either a pinned engine instance or None
@@ -341,6 +446,37 @@ class GBOTrainer:
         result = self._finalise(history)
         self._apply_schedule(result.schedule)
         return result
+
+    def _run_steps(self, loader, optimizer, planner, history: List[Dict[str, float]]) -> None:
+        """Every epoch's optimisation steps, one ``history`` record per step."""
+        config = self.config
+        step = 0
+        for epoch in range(config.epochs):
+            for inputs, targets in loader:
+                optimizer.zero_grad()
+                outputs = self._planned_forward(planner, inputs)
+                ce_loss = F.cross_entropy(outputs, targets)
+                latency = self._latency_term()
+                loss = ce_loss + latency * config.gamma
+                loss.backward()
+                optimizer.step()
+                step += 1
+                record = {
+                    "epoch": float(epoch),
+                    "step": float(step),
+                    "loss": float(loss.data),
+                    "cross_entropy": float(ce_loss.data),
+                    "expected_latency": float(latency.data),
+                }
+                history.append(record)
+                if config.log_every and step % config.log_every == 0:
+                    LOGGER.info(
+                        "gbo step %d: loss=%.4f ce=%.4f latency=%.2f",
+                        step,
+                        record["loss"],
+                        record["cross_entropy"],
+                        record["expected_latency"],
+                    )
 
     def _planned_forward(self, planner: Optional["_NoisePlanner"], inputs) -> Tensor:
         """One model forward, with the step's noise pre-planned when enabled."""

@@ -44,12 +44,13 @@ from repro.experiments.runner.spec import ScenarioGrid, ScenarioSpec
 from repro.experiments.runner.store import MemoryStore, ResultStore, jsonify_result
 from repro.sim import SimConfig, apply_config
 from repro.utils.logging import get_logger
+from repro.utils.threads import THREAD_ENV_VARS
 
 LOGGER = get_logger("repro.runner")
 
 #: BLAS/thread environment pinned in worker processes so N workers do not
 #: fight over the machine with N x num_threads BLAS pools.
-_WORKER_THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+_WORKER_THREAD_ENV = THREAD_ENV_VARS
 
 
 class GridExecutionError(RuntimeError):

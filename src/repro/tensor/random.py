@@ -93,6 +93,32 @@ class RandomState:
         child_seed = int(self._rng.integers(0, 2**31 - 1))
         return RandomState(child_seed)
 
+    @property
+    def state(self) -> dict:
+        """The bit generator's position in its stream (numpy's ``bit_generator.state``).
+
+        Assigning a state taken from a generator of the same kind moves this
+        one to that exact position.
+        """
+        return self._rng.bit_generator.state
+
+    @state.setter
+    def state(self, value: dict) -> None:
+        self._rng.bit_generator.state = value
+
+    def clone(self) -> "RandomState":
+        """An independent copy at this generator's exact stream position.
+
+        The copy yields the very samples this generator would yield next,
+        without advancing it (unlike :meth:`spawn`, which derives a new
+        stream and consumes the parent).
+        """
+        twin = RandomState.__new__(RandomState)
+        twin._seed = self._seed
+        twin._rng = np.random.Generator(type(self._rng.bit_generator)(0))
+        twin.state = self.state
+        return twin
+
 
 class PlannedNormalStream:
     """Serves pre-materialised standard-normal samples through ``normal()``.

@@ -250,6 +250,17 @@ class Tensor:
             Gradient of the final objective with respect to this tensor.  May
             be omitted only for scalar tensors, in which case it defaults
             to 1.
+
+        Notes
+        -----
+        Only *leaf* tensors (those not produced by a differentiable op, such
+        as parameters and ``requires_grad=True`` inputs) keep their ``grad``
+        after the call, accumulating across calls until
+        :meth:`zero_grad`.  Each intermediate tensor's gradient is released
+        as soon as it has been pushed to its parents, so its ``grad`` is
+        ``None`` afterwards — this tensor's own included when it is an op
+        output — as in PyTorch without ``retain_grad``.  This bounds peak
+        memory to the gradients still in flight.
         """
         if grad is None:
             if self.data.size != 1:
@@ -275,6 +286,9 @@ class Tensor:
             for parent in node._parents:
                 if parent.requires_grad and parent.grad is not None:
                     grads[id(parent)] = parent.grad
+            # Every child of this node ran before it (topological order), so
+            # its gradient is complete and now pushed on: release it.
+            node.grad = None
 
     def _topological_order(self) -> List["Tensor"]:
         order: List[Tensor] = []

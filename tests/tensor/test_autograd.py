@@ -182,3 +182,67 @@ class TestGraphMechanics:
         out.sum().backward()
         assert a.grad is not None
         assert np.isfinite(a.grad).all()
+
+
+def _retaining_backward(root):
+    """Reverse-mode pass that keeps every intermediate ``.grad`` — the
+    propagation rule of ``Tensor.backward`` before it released them."""
+    ordered = root._topological_order()
+    grads = {id(root): np.ones_like(root.data)}
+    root._accumulate(grads[id(root)])
+    for node in ordered:
+        node_grad = grads.pop(id(node), None)
+        if node_grad is None or node._backward_fn is None:
+            continue
+        node._backward_fn(node_grad)
+        for parent in node._parents:
+            if parent.requires_grad and parent.grad is not None:
+                grads[id(parent)] = parent.grad
+
+
+class TestGradientRelease:
+    """``backward()`` frees each intermediate gradient once it is pushed on."""
+
+    @staticmethod
+    def _lenet_loss():
+        from repro.models import CrossbarLeNet
+        from repro.tensor import functional as F
+
+        model = CrossbarLeNet(num_classes=4, image_size=8, rng=RandomState(3))
+        inputs = Tensor(RandomState(4).normal(size=(6, 3, 8, 8)))
+        loss = F.cross_entropy(model(inputs), np.array([0, 1, 2, 3, 0, 1]))
+        return model, loss
+
+    def test_intermediate_grads_are_released(self, rng):
+        a, b = _leaf(rng, 3, 4), _leaf(rng, 4)
+        hidden = (a * b).exp()
+        shared = hidden + hidden * 2.0
+        loss = (shared * a).sum()
+        loss.backward()
+        assert hidden.grad is None and shared.grad is None and loss.grad is None
+        assert a.grad is not None and b.grad is not None
+
+    def test_leaf_grads_match_retaining_pass(self):
+        model, loss = self._lenet_loss()
+        loss.backward()
+        released = [np.array(param.grad, copy=True) for param in model.parameters()]
+        model, loss = self._lenet_loss()
+        _retaining_backward(loss)
+        retained = [param.grad for param in model.parameters()]
+        assert len(released) == len(retained) > 0
+        for got, want in zip(released, retained):
+            np.testing.assert_array_equal(got, want)
+
+    def test_leaf_grads_still_accumulate_across_calls(self, rng):
+        # Two passes through one intermediate: each adds d/da = 3 to the
+        # leaf.  (Retaining the intermediate's gradient re-propagated the
+        # first pass's share in the second, giving 9.)
+        a = _leaf(rng, 5)
+        hidden = a * 3.0
+        hidden.sum().backward()
+        hidden.sum().backward()
+        np.testing.assert_array_equal(a.grad, np.full(5, 6.0))
+
+    def test_grad_check_still_passes(self, rng):
+        a, b = _leaf(rng, 3, 4), _leaf(rng, 4, 2)
+        assert check_gradients(lambda: ((a @ b).tanh() * (a @ b)).sum(), [a, b])
