@@ -18,10 +18,11 @@ inference.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -78,9 +79,10 @@ class GBOConfig:
         generator moved since the launch; every other case (a partial last
         batch, another consumer of a shared generator, a non-``RandomState``
         generator) discards it and draws synchronously, so the result stays
-        sample-exact.  For the duration of :meth:`GBOTrainer.train` numpy's
-        OpenBLAS pool is capped at one thread (restored afterwards) so the
-        draw has a core of its own.
+        sample-exact.  While it prefetches, :meth:`GBOTrainer.train` caps
+        numpy's OpenBLAS pool at one thread (restored afterwards) so the
+        draw has a core of its own; without a prefetch the pool is left
+        alone.
     """
 
     space: PulseScalingSpace = field(default_factory=PulseScalingSpace)
@@ -158,23 +160,26 @@ class _RecordingRng:
         return getattr(self._inner, name)
 
 
-def _generator_groups(generators) -> List[Tuple[int, List[int]]]:
-    """Layer indices grouped by their (possibly shared) noise generator.
+def _draw_plan(layers, counts: List[int], generators) -> List[np.ndarray]:
+    """One step's per-layer Eq. 5 noise: one draw per distinct generator.
 
-    Returns ``(first_index, indices)`` per distinct generator, in order of
-    first use, with forward order kept within each group: a generator's
-    single flat draw is bit-equal to the consecutive per-layer draws it
-    replaces, and distinct generators are independent, so interleaving
-    across groups is irrelevant.
+    Layers are grouped by their (possibly shared) generator, in order of
+    first use, keeping forward order within each group: a generator's single
+    flat draw is bit-equal to the consecutive per-layer draws it replaces,
+    and distinct generators are independent, so interleaving is irrelevant.
     """
     groups: Dict[int, List[int]] = {}
-    firsts: List[int] = []
     for index, rng in enumerate(generators):
-        if id(rng) not in groups:
-            groups[id(rng)] = []
-            firsts.append(index)
-        groups[id(rng)].append(index)
-    return [(first, groups[id(generators[first])]) for first in firsts]
+        groups.setdefault(id(rng), []).append(index)
+    plan: List[Optional[np.ndarray]] = [None] * len(layers)
+    for indices in groups.values():
+        first = indices[0]
+        buffers = layers[first].engine.plan_gbo_noise(
+            [counts[i] for i in indices], generators[first]
+        )
+        for layer_index, buffer in zip(indices, buffers):
+            plan[layer_index] = buffer
+    return plan
 
 
 class _Prefetch:
@@ -182,37 +187,31 @@ class _Prefetch:
 
     On construction (on the trainer's thread) it clones each distinct
     generator and snapshots the originals' stream positions, then starts
-    one thread that draws the plan on the clones through the layers' own
-    :meth:`~repro.backend.engine.SimulationEngine.plan_gbo_noise`, inside a
-    copy of the caller's :mod:`contextvars` context so the draw follows the
-    trainer's compute-dtype policy.  The thread never touches the originals.
+    one thread that runs :func:`_draw_plan` with every layer mapped to its
+    generator's clone, inside a copy of the caller's :mod:`contextvars`
+    context so the draw follows the trainer's compute-dtype policy.  The
+    thread never touches the originals.
     """
 
     def __init__(self, key, layers, originals, counts):
         self.key = key
         self.originals = originals
-        self.groups = _generator_groups(originals)
-        generators = [originals[first] for first, _ in self.groups]
-        self.snapshots = [rng.state for rng in generators]
-        self.clones = [rng.clone() for rng in generators]
-        requests = [
-            (layers[first].engine, [counts[i] for i in indices])
-            for first, indices in self.groups
-        ]
-        self.buffers: Optional[List[list]] = None
+        self.distinct = list({id(rng): rng for rng in originals}.values())
+        self.snapshots = [rng.state for rng in self.distinct]
+        self.clones = [rng.clone() for rng in self.distinct]
+        clone_of = {id(rng): clone for rng, clone in zip(self.distinct, self.clones)}
+        clones_per_layer = [clone_of[id(rng)] for rng in originals]
+        self.plan: Optional[List[np.ndarray]] = None
         self._thread = threading.Thread(
             target=contextvars.copy_context().run,
-            args=(self._draw, requests),
+            args=(self._draw, layers, counts, clones_per_layer),
             name="gbo-noise-prefetch",
             daemon=True,
         )
         self._thread.start()
 
-    def _draw(self, requests) -> None:
-        self.buffers = [
-            engine.plan_gbo_noise(group_counts, clone)
-            for (engine, group_counts), clone in zip(requests, self.clones)
-        ]
+    def _draw(self, layers, counts, clones_per_layer) -> None:
+        self.plan = _draw_plan(layers, counts, clones_per_layer)
 
     def join(self) -> None:
         self._thread.join()
@@ -229,20 +228,15 @@ class _Prefetch:
         the trainer's).
         """
         self.join()
-        if self.buffers is None or key != self.key:
+        if self.plan is None or key != self.key:
             return None
         if any(rng is not launched for rng, launched in zip(originals, self.originals)):
             return None
-        generators = [originals[first] for first, _ in self.groups]
-        if any(rng.state != snapshot for rng, snapshot in zip(generators, self.snapshots)):
+        if any(rng.state != snapshot for rng, snapshot in zip(self.distinct, self.snapshots)):
             return None
-        for rng, clone in zip(generators, self.clones):
+        for rng, clone in zip(self.distinct, self.clones):
             rng.state = clone.state
-        plan: List[Optional[np.ndarray]] = [None] * len(originals)
-        for (_, indices), buffers in zip(self.groups, self.buffers):
-            for layer_index, buffer in zip(indices, buffers):
-                plan[layer_index] = buffer
-        return plan
+        return self.plan
 
 
 class _NoisePlanner:
@@ -290,7 +284,7 @@ class _NoisePlanner:
             self._active = ("record", key, originals, wrappers)
             return
         if plan is None:
-            plan = self._draw(counts, originals)
+            plan = _draw_plan(self._layers, counts, originals)
         streams = [PlannedNormalStream(buffer) for buffer in plan]
         for layer, stream in zip(self._layers, streams):
             layer.noise_rng = stream
@@ -320,16 +314,6 @@ class _NoisePlanner:
         pending, self._prefetch = self._prefetch, None
         if pending is not None:
             pending.join()
-
-    def _draw(self, counts: List[int], originals) -> List[np.ndarray]:
-        plan: List[Optional[np.ndarray]] = [None] * len(self._layers)
-        for first, indices in _generator_groups(originals):
-            buffers = self._layers[first].engine.plan_gbo_noise(
-                [counts[i] for i in indices], originals[first]
-            )
-            for layer_index, buffer in zip(indices, buffers):
-                plan[layer_index] = buffer
-        return plan
 
     def _launch(self, key, originals, counts: List[int]) -> None:
         if self._prefetch_enabled and all(type(rng) is RandomState for rng in originals):
@@ -426,15 +410,41 @@ class GBOTrainer:
                 layer._apply_engine(self.engine)
 
         optimizer = Adam(logits, lr=config.learning_rate)
-        planner = None
-        if config.plan_noise:
-            planner = _NoisePlanner(self._layers, prefetch=threads.usable_cores() >= 2)
+        prefetch = config.plan_noise and threads.usable_cores() >= 2
+        planner = _NoisePlanner(self._layers, prefetch=prefetch) if config.plan_noise else None
+        # While the next step's noise is drawn on a second core, OpenBLAS is
+        # capped at one thread so its second thread does not contend for it.
+        blas_cap = threads.blas_thread_limit(1) if prefetch else contextlib.nullcontext()
         history: List[Dict[str, float]] = []
+        step = 0
         try:
-            # One BLAS thread leaves the second core to the noise prefetch:
-            # at these matrix sizes OpenBLAS's second thread only spin-waits.
-            with threads.blas_thread_limit(1):
-                self._run_steps(loader, optimizer, planner, history)
+            with blas_cap:
+                for epoch in range(config.epochs):
+                    for inputs, targets in loader:
+                        optimizer.zero_grad()
+                        outputs = self._planned_forward(planner, inputs)
+                        ce_loss = F.cross_entropy(outputs, targets)
+                        latency = self._latency_term()
+                        loss = ce_loss + latency * config.gamma
+                        loss.backward()
+                        optimizer.step()
+                        step += 1
+                        record = {
+                            "epoch": float(epoch),
+                            "step": float(step),
+                            "loss": float(loss.data),
+                            "cross_entropy": float(ce_loss.data),
+                            "expected_latency": float(latency.data),
+                        }
+                        history.append(record)
+                        if config.log_every and step % config.log_every == 0:
+                            LOGGER.info(
+                                "gbo step %d: loss=%.4f ce=%.4f latency=%.2f",
+                                step,
+                                record["loss"],
+                                record["cross_entropy"],
+                                record["expected_latency"],
+                            )
         finally:
             if planner is not None:
                 planner.close()
@@ -446,37 +456,6 @@ class GBOTrainer:
         result = self._finalise(history)
         self._apply_schedule(result.schedule)
         return result
-
-    def _run_steps(self, loader, optimizer, planner, history: List[Dict[str, float]]) -> None:
-        """Every epoch's optimisation steps, one ``history`` record per step."""
-        config = self.config
-        step = 0
-        for epoch in range(config.epochs):
-            for inputs, targets in loader:
-                optimizer.zero_grad()
-                outputs = self._planned_forward(planner, inputs)
-                ce_loss = F.cross_entropy(outputs, targets)
-                latency = self._latency_term()
-                loss = ce_loss + latency * config.gamma
-                loss.backward()
-                optimizer.step()
-                step += 1
-                record = {
-                    "epoch": float(epoch),
-                    "step": float(step),
-                    "loss": float(loss.data),
-                    "cross_entropy": float(ce_loss.data),
-                    "expected_latency": float(latency.data),
-                }
-                history.append(record)
-                if config.log_every and step % config.log_every == 0:
-                    LOGGER.info(
-                        "gbo step %d: loss=%.4f ce=%.4f latency=%.2f",
-                        step,
-                        record["loss"],
-                        record["cross_entropy"],
-                        record["expected_latency"],
-                    )
 
     def _planned_forward(self, planner: Optional["_NoisePlanner"], inputs) -> Tensor:
         """One model forward, with the step's noise pre-planned when enabled."""

@@ -48,10 +48,6 @@ from repro.utils.threads import THREAD_ENV_VARS
 
 LOGGER = get_logger("repro.runner")
 
-#: BLAS/thread environment pinned in worker processes so N workers do not
-#: fight over the machine with N x num_threads BLAS pools.
-_WORKER_THREAD_ENV = THREAD_ENV_VARS
-
 
 class GridExecutionError(RuntimeError):
     """One or more scenarios of a parallel grid run failed.
@@ -226,8 +222,8 @@ def spawn_worker_pool(
     process creation.  Callers own the returned executor and must
     ``shutdown()`` it.
     """
-    saved_env = {name: os.environ.get(name) for name in _WORKER_THREAD_ENV}
-    for name in _WORKER_THREAD_ENV:
+    saved_env = {name: os.environ.get(name) for name in THREAD_ENV_VARS}
+    for name in THREAD_ENV_VARS:
         os.environ[name] = "1"
     try:
         context = multiprocessing.get_context("spawn")

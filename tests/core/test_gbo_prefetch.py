@@ -270,8 +270,10 @@ class TestPrefetchCleanup:
         prefetched_states, blas_inside = self._failing_run(monkeypatch, cores=2)
         assert spy.launched == 3  # the failing step's look-ahead was in flight
         assert threading.active_count() == baseline_threads
-        synchronous_states, _ = self._failing_run(monkeypatch, cores=1)
+        synchronous_states, blas_synchronous = self._failing_run(monkeypatch, cores=1)
         assert prefetched_states == synchronous_states
         if blas_before is not None:  # a numpy build without OpenBLAS's setter
             assert blas_inside == 1
             assert threads.blas_threads() == blas_before
+            # Without a prefetch there is no draw to give a core to: no cap.
+            assert blas_synchronous == blas_before
